@@ -14,18 +14,22 @@
 //! * [`engine`] — [`ServingEngine`]: owns a calibrated
 //!   [`QueryEngine`](peanut_junction::QueryEngine) and a
 //!   [`Materialization`](peanut_core::Materialization) behind `Arc`, accepts
-//!   batches of marginal and evidence-conditioned queries, coalesces
-//!   duplicates, and fans the unique work out across a worker pool. Each
-//!   worker runs the shortcut-aware online engine on the stride-walk kernel
-//!   path with its own [`Scratch`](peanut_pgm::Scratch), so steady-state
-//!   serving performs no transient allocation.
+//!   batches of marginal and evidence-conditioned queries and answers them
+//!   through the batch pipeline.
+//! * `pipeline` (crate-private) — the one batch pipeline every serving
+//!   surface runs: route arrivals to shards, coalesce duplicates per
+//!   shard, probe the epoch-tagged answer cache, fan the unique work out
+//!   across the worker pool (each worker running the shortcut-aware online
+//!   engine with its own [`Scratch`](peanut_pgm::Scratch), so steady-state
+//!   serving performs no transient allocation), admit fresh answers, and
+//!   account arrivals into the epoch's stats.
 //! * [`pool`] — the concurrency backbone: a persistent [`WorkerPool`] of
 //!   long-lived workers, spawned once per engine (or shared across a
 //!   sharded engine's shards), parked between waves on a condvar-fronted
 //!   three-[`Lane`] priority queue (serving > re-materialization >
 //!   background), with per-task panic isolation and drain-then-join
-//!   shutdown. Batches are submitted blocking (`run_wave`) or
-//!   non-blocking (`submit_batch` → [`WaveHandle`]); the pool doubles as
+//!   shutdown. Waves are submitted blocking or non-blocking
+//!   ([`WorkerPool::submit_batch`] → [`WaveHandle`]); the pool doubles as
 //!   the [`Executor`](peanut_core::Executor) the lifecycle's off-path
 //!   re-selections run on — routed to [`Lane::Remat`] so they can never
 //!   head-of-line block query traffic — and surfaces [`PoolStats`]
@@ -73,13 +77,14 @@
 pub mod engine;
 pub mod lifecycle;
 pub mod overload;
+mod pipeline;
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod replay;
 pub mod session;
 pub mod shard;
 
-pub use engine::{Answer, BatchStats, Query, Served, ServingConfig, ServingEngine};
+pub use engine::{Answer, BatchStats, Served, ServingConfig, ServingEngine};
 pub use lifecycle::{
     expected_savings, FleetConfig, FleetController, FleetRebalance, LifecycleConfig,
     RematerializationController, SwapEvent, TenantAllocation,

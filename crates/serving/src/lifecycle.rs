@@ -401,7 +401,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
             return Ok(None);
         }
         let engine = self.serving.engine();
-        let exec = self.serving.offline_exec(self.cfg.threads);
+        let exec = self.serving.pool.offline_exec(self.cfg.threads);
         let t0 = Instant::now();
         let mat = reselect(
             engine,
@@ -721,7 +721,7 @@ impl<'s, 't> FleetController<'s, 't> {
             current_ops: f64,
             base_ops: f64,
         }
-        let exec = self.sharded.offline_exec(self.cfg.threads);
+        let exec = self.sharded.pool.offline_exec(self.cfg.threads);
         let t0 = Instant::now();
         let mut candidates: Vec<Candidate<'t>> = Vec::new();
         for ((id, eng, snap), (_, share)) in tenants.iter().zip(&shares) {
@@ -1529,7 +1529,7 @@ mod tests {
 
         // same budget, same engine, same DP — only the observed
         // distribution differs, and the chosen shortcut set moves with it
-        let exec = serving.offline_exec(1);
+        let exec = serving.pool.offline_exec(1);
         let mat_joint = reselect(
             serving.engine(),
             &joint_w,

@@ -62,6 +62,7 @@
 //! amortization that is the whole point. [`PoolStats::delta_since`]
 //! isolates one measurement window from pool-lifetime totals.
 
+use crate::engine::ServingConfig;
 use peanut_core::exec::{Executor, ScopedExecutor, SequentialExecutor};
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::thread::{self, JoinHandle};
@@ -178,21 +179,35 @@ impl PoolStats {
     }
 }
 
-/// The lazily spawned pool slot shared by [`ServingEngine`] and
-/// [`ShardedServingEngine`]: one place for the spawn-on-first-use,
-/// warm-up, and offline-executor-selection rules, so the two engines
-/// cannot drift apart.
-///
-/// [`ServingEngine`]: crate::engine::ServingEngine
-/// [`ShardedServingEngine`]: crate::shard::ShardedServingEngine
-#[derive(Default)]
+/// The fan-out of one engine (or one sharded fleet): the fan-out mode,
+/// the resolved worker count and the lazily spawned pool slot. It is the
+/// one place for the spawn-on-first-use, warm-up and offline-executor
+/// rules, and the only implementation of batch fan-out
+/// ([`fan_out`](Self::fan_out)).
 pub(crate) struct PoolCell {
     cell: OnceLock<Arc<WorkerPool>>,
+    spawn: SpawnMode,
+    /// `ServingConfig::workers` with `0` resolved to one per core.
+    workers: usize,
 }
 
 impl PoolCell {
-    pub(crate) fn new() -> Self {
-        PoolCell::default()
+    pub(crate) fn new(cfg: &ServingConfig) -> Self {
+        let workers = if cfg.workers > 0 {
+            cfg.workers
+        } else {
+            thread::available_parallelism().map_or(1, |n| n.get())
+        };
+        PoolCell {
+            cell: OnceLock::new(),
+            spawn: cfg.spawn,
+            workers,
+        }
+    }
+
+    /// The worker count a batch uses (before capping by its task count).
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Installs an externally owned pool; fails if one is already set.
@@ -201,8 +216,9 @@ impl PoolCell {
     }
 
     /// The pool, spawning `workers` threads on first use.
-    pub(crate) fn get_or_spawn(&self, workers: usize) -> &Arc<WorkerPool> {
-        self.cell.get_or_init(|| Arc::new(WorkerPool::new(workers)))
+    pub(crate) fn get(&self) -> &Arc<WorkerPool> {
+        self.cell
+            .get_or_init(|| Arc::new(WorkerPool::new(self.workers)))
     }
 
     /// Telemetry, if the pool has been spawned.
@@ -211,15 +227,15 @@ impl PoolCell {
     }
 
     /// Whether batches fan out onto a persistent pool at all.
-    pub(crate) fn fans_out(spawn: SpawnMode, workers: usize) -> bool {
-        spawn == SpawnMode::Persistent && workers > 1
+    fn fans_out(&self) -> bool {
+        self.spawn == SpawnMode::Persistent && self.workers > 1
     }
 
     /// Pre-spawns the pool so the first fanned-out batch does not pay
     /// thread-spawn latency in-band. A no-op when batches never fan out.
-    pub(crate) fn warm(&self, spawn: SpawnMode, workers: usize) {
-        if Self::fans_out(spawn, workers) {
-            self.get_or_spawn(workers);
+    pub(crate) fn warm(&self) {
+        if self.fans_out() {
+            self.get();
         }
     }
 
@@ -227,18 +243,88 @@ impl PoolCell {
     /// the persistent pool's [`Lane::Remat`] when batches fan out — so a
     /// re-selection wave can never head-of-line block serving waves — a
     /// scoped `threads`-wide fan-out otherwise (sequential when 1).
-    pub(crate) fn offline_exec(
-        &self,
-        spawn: SpawnMode,
-        workers: usize,
-        threads: usize,
-    ) -> Box<dyn Executor + '_> {
-        if Self::fans_out(spawn, workers) {
-            Box::new(self.get_or_spawn(workers).lane_executor(Lane::Remat))
+    pub(crate) fn offline_exec(&self, threads: usize) -> Box<dyn Executor + '_> {
+        if self.fans_out() {
+            Box::new(self.get().lane_executor(Lane::Remat))
         } else if threads > 1 {
             Box::new(ScopedExecutor::new(threads))
         } else {
             Box::new(SequentialExecutor)
+        }
+    }
+
+    /// Runs `task(i, scratch)` for every `i in 0..total` and returns the
+    /// results in index order. Three modes:
+    ///
+    /// * in-thread, on one fresh [`Scratch`], when there is at most one
+    ///   task or one worker — no fan-out overhead for small batches;
+    /// * [`SpawnMode::Persistent`]: one [`Lane::Serving`] wave on the
+    ///   parked pool, whose worker scratches persist across batches (a
+    ///   queued re-materialization wave is preempted between tasks);
+    /// * [`SpawnMode::Scoped`]: `min(workers, total)` threads spawned for
+    ///   this call, one [`Scratch`] each — the spawn-latency baseline.
+    ///
+    /// A task panic re-raises on the calling thread in both fanned-out
+    /// modes, after the other tasks have finished.
+    pub(crate) fn fan_out<R: Send + Sync>(
+        &self,
+        total: usize,
+        task: &(dyn Fn(usize, &mut Scratch) -> R + Sync),
+    ) -> Vec<R> {
+        let threads = self.workers.min(total);
+        if threads <= 1 {
+            let mut scratch = Scratch::new();
+            return (0..total).map(|i| task(i, &mut scratch)).collect();
+        }
+        match self.spawn {
+            SpawnMode::Persistent => {
+                // each task owns slot `i`, so results land lock-free
+                let slots: Vec<OnceLock<R>> = (0..total).map(|_| OnceLock::new()).collect();
+                self.get().run_wave(total, &|i, scratch| {
+                    assert!(
+                        slots[i].set(task(i, scratch)).is_ok(),
+                        "wave claims each index once"
+                    );
+                });
+                slots
+                    .into_iter()
+                    // lint:allow(hot_panic) — protocol invariant: run_wave
+                    // does not return before every claimed index has
+                    // completed, and the model-check suite drives exactly
+                    // that protocol.
+                    .map(|slot| slot.into_inner().expect("completed wave ran every task"))
+                    .collect()
+            }
+            SpawnMode::Scoped => {
+                let next = AtomicUsize::new(0);
+                let mut out: Vec<(usize, R)> = thread::scope(|s| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|_| {
+                            s.spawn(|| {
+                                let mut scratch = Scratch::new();
+                                let mut out = Vec::new();
+                                loop {
+                                    // ordering: work-claiming counter only;
+                                    // the scope join publishes the results.
+                                    let i = next.fetch_add(1, Ordering::Relaxed);
+                                    if i >= total {
+                                        break out;
+                                    }
+                                    out.push((i, task(i, &mut scratch)));
+                                }
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        // a worker panic re-raises on the submitting
+                        // thread, matching the pool path's semantics
+                        .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+                        .collect()
+                });
+                out.sort_unstable_by_key(|&(i, _)| i);
+                out.into_iter().map(|(_, r)| r).collect()
+            }
         }
     }
 }

@@ -26,19 +26,27 @@
 //! open and owns its restricted tree outright, so a concurrent
 //! [`publish`](ServingEngine::publish) never touches an in-flight
 //! session: its answers keep their open-time epoch tag until the session
-//! is dropped. Sessions opened after the swap see the new epoch. Session
-//! queries fan out on the engine's serving-priority worker lane and are
-//! counted in [`ServingEngine::session_backlog`] while in flight.
+//! is dropped. Sessions opened after the swap see the new epoch.
+//!
+//! # Serving
+//!
+//! A session batch runs through the crate's one batch pipeline (module
+//! `pipeline`) as a single shard over the restricted engine: no answer
+//! cache (answers hold only under this evidence), the engine's `dedup`
+//! setting (duplicate targets share one `Arc<Answer>`), and the pinned
+//! evidence scope, which normalizes every answer and records the evidence
+//! context once per served arrival. Session queries fan out on the
+//! engine's serving-priority worker lane and are counted in
+//! [`ServingEngine::session_backlog`] while in flight.
 
-use crate::engine::{Answer, BatchStats, Served, ServingEngine};
+use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::ServeOutcome;
-use crate::pool::SpawnMode;
+use crate::pipeline::{self, Shard};
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use peanut_core::sync::{thread, Arc, OnceLock};
-use peanut_core::{Materialization, OnlineEngine, WorkloadStats};
+use peanut_core::sync::Arc;
+use peanut_core::{Materialization, ServeRequest, WorkloadStats};
 use peanut_junction::QueryEngine;
-use peanut_pgm::{PgmError, Scope, Scratch, Var};
-use std::panic::resume_unwind;
+use peanut_pgm::{PgmError, Scope, Var};
 use std::time::Instant;
 
 /// Session registry counters of one [`ServingEngine`]: all advisory
@@ -173,19 +181,11 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     /// `P(targets | evidence)` computed on the session-local restricted
     /// tree — no joint over `targets ∪ vars(e)` is ever formed, which is
     /// where the amortization over the per-query conditional path comes
-    /// from. Fans out on the engine's serving-priority lane and counts
+    /// from. Duplicate targets share one computation when the engine
+    /// dedups. Fans out on the engine's serving-priority lane and counts
     /// toward [`ServingEngine::session_backlog`] while in flight.
     pub fn serve_batch(&self, targets: &[Scope]) -> (Vec<ServeOutcome>, BatchStats) {
         let start = Instant::now();
-        let mut bstats = BatchStats {
-            queries: targets.len(),
-            unique: targets.len(),
-            epoch: self.epoch,
-            ..BatchStats::default()
-        };
-        if targets.is_empty() {
-            return (Vec::new(), bstats);
-        }
         let backlog = &self.serving.sessions.backlog;
         // ordering: advisory backlog telemetry (released by the guard).
         backlog.fetch_add(targets.len(), Ordering::Relaxed);
@@ -193,124 +193,28 @@ impl<'s, 't> EvidenceSession<'s, 't> {
             counter: backlog,
             n: targets.len(),
         };
-
-        let mut results: Vec<Option<Result<Answer, PgmError>>> = Vec::new();
-        results.resize_with(targets.len(), || None);
-        let n_workers = self.serving.workers().min(targets.len()).max(1);
-        if targets.len() <= 1 || n_workers == 1 {
-            // in-thread fast path, mirroring the batch engine
-            let online = OnlineEngine::with_stats(&self.local, &self.unmaterialized, &self.stats);
-            let mut scratch = Scratch::new();
-            for (i, t) in targets.iter().enumerate() {
-                results[i] = Some(self.answer_local(&online, t, &mut scratch));
-            }
-        } else if self.serving.spawn_mode() == SpawnMode::Persistent {
-            // serving-priority lane of the shared persistent pool: session
-            // streams are foreground traffic, same as batches
-            let slots: Vec<OnceLock<Result<Answer, PgmError>>> =
-                (0..targets.len()).map(|_| OnceLock::new()).collect();
-            self.serving.pool().run_wave(targets.len(), &|w, scratch| {
-                let online =
-                    OnlineEngine::with_stats(&self.local, &self.unmaterialized, &self.stats);
-                let r = self.answer_local(&online, &targets[w], scratch);
-                assert!(slots[w].set(r).is_ok(), "wave claims each index once");
-            });
-            for (w, slot) in slots.into_iter().enumerate() {
-                // lint:allow(hot_panic) — protocol invariant: run_wave does
-                // not return before every claimed index has completed.
-                results[w] = Some(slot.into_inner().expect("completed wave ran every task"));
-            }
-        } else {
-            // scoped baseline, mirroring the batch engine's fallback
-            let next = AtomicUsize::new(0);
-            let outs: Vec<Vec<(usize, Result<Answer, PgmError>)>> = thread::scope(|s| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let online = OnlineEngine::with_stats(
-                                &self.local,
-                                &self.unmaterialized,
-                                &self.stats,
-                            );
-                            let mut scratch = Scratch::new();
-                            let mut out = Vec::new();
-                            loop {
-                                // ordering: work-claiming counter only; the
-                                // scope join publishes the results.
-                                let w = next.fetch_add(1, Ordering::Relaxed);
-                                if w >= targets.len() {
-                                    break;
-                                }
-                                out.push((
-                                    w,
-                                    self.answer_local(&online, &targets[w], &mut scratch),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                    .collect()
-            });
-            for (w, r) in outs.into_iter().flatten() {
-                results[w] = Some(r);
-            }
-        }
-
-        let mut served = 0u64;
-        let outcomes: Vec<ServeOutcome> = results
-            .into_iter()
-            .map(|r| {
-                // lint:allow(hot_panic) — invariant: every fan-out path
-                // above fills every index.
-                match r.expect("all targets answered") {
-                    Ok(a) => {
-                        served += 1;
-                        bstats.total_ops = bstats.total_ops.saturating_add(a.cost.ops);
-                        ServeOutcome::Served(Served {
-                            answer: Arc::new(a),
-                            from_cache: false,
-                        })
-                    }
-                    Err(e) => ServeOutcome::Failed(e),
-                }
-            })
+        let requests: Vec<ServeRequest> = targets
+            .iter()
+            .cloned()
+            .map(ServeRequest::marginal)
             .collect();
-        // one evidence-context record per served query: the accumulator
-        // weighs contexts by the traffic they actually carried, which is
-        // what evidence-aware re-selection prices against
-        self.stats.record_evidence(&self.evidence_scope, served);
+        // no cache: answers are only valid under this session's evidence
+        let shard = Shard {
+            engine: &self.local,
+            mat: &self.unmaterialized,
+            stats: &self.stats,
+            epoch: self.epoch,
+            cache: None,
+            pinned: Some(&self.evidence_scope),
+        };
+        let (outcomes, mut bstats) = pipeline::serve_one_shard(
+            &shard,
+            &requests,
+            self.serving.cfg.dedup,
+            &self.serving.pool,
+        );
         bstats.wall = start.elapsed();
         (outcomes, bstats)
-    }
-
-    /// Answers one target marginal on the restricted tree and normalizes
-    /// it into `P(targets | evidence)`. Target scopes recorded via the
-    /// per-worker [`OnlineEngine`] are the *restricted* scopes — the
-    /// distribution re-selection should price under for this traffic.
-    fn answer_local(
-        &self,
-        online: &OnlineEngine<'_, 't>,
-        targets: &Scope,
-        scratch: &mut Scratch,
-    ) -> Result<Answer, PgmError> {
-        let t = Instant::now();
-        let traced = online.answer_traced_in(targets, scratch)?;
-        let mut potential = traced.potential;
-        // restricted tables hold P(·, e); normalizing yields P(· | e).
-        // Contradictory evidence leaves an all-zero table (sum 0), which
-        // normalize passes through untouched.
-        potential.normalize();
-        Ok(Answer {
-            potential,
-            cost: traced.cost,
-            baseline_ops: traced.baseline_ops,
-            epoch: self.epoch,
-            service_time: t.elapsed(),
-        })
     }
 }
 
@@ -325,7 +229,6 @@ impl Drop for EvidenceSession<'_, '_> {
 mod tests {
     use super::*;
     use crate::engine::ServingConfig;
-    use peanut_core::ServeRequest;
     use peanut_junction::build_junction_tree;
     use peanut_pgm::fixtures;
 

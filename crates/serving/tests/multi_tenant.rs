@@ -115,7 +115,32 @@ proptest! {
             let engine = QueryEngine::numeric(tree, bn).unwrap();
             let mat = train_mat(tree, &engine, &batches[i], 128);
             let alone = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
-            let (alone_answers, _) = alone.serve_batch(&batches[i]);
+            let (alone_answers, alone_stats) = alone.serve_batch(&batches[i]);
+
+            // the shard's batch telemetry and arrival-weighted stats are
+            // exactly the lone engine's (every counter is an integer)
+            let tid = TenantId(i as u32);
+            let shard_stats = stats
+                .per_tenant
+                .iter()
+                .find(|(t, _)| *t == tid)
+                .map(|(_, s)| *s)
+                .expect("tenant with arrivals has per-tenant stats");
+            prop_assert_eq!(shard_stats.queries, alone_stats.queries);
+            prop_assert_eq!(shard_stats.unique, alone_stats.unique);
+            prop_assert_eq!(shard_stats.cache_hits, alone_stats.cache_hits);
+            prop_assert_eq!(shard_stats.stale_hits, alone_stats.stale_hits);
+            prop_assert_eq!(shard_stats.total_ops, alone_stats.total_ops);
+            prop_assert_eq!(shard_stats.shortcuts_used, alone_stats.shortcuts_used);
+            prop_assert_eq!(shard_stats.epoch, alone_stats.epoch);
+            let (shard_ws, alone_ws) = (sharded.tenant(tid).unwrap().stats(), alone.stats());
+            prop_assert_eq!(shard_ws.snapshot(), alone_ws.snapshot());
+            prop_assert_eq!(shard_ws.scope_counts(), alone_ws.scope_counts());
+            prop_assert_eq!(
+                shard_ws.evidence_scope_counts(),
+                alone_ws.evidence_scope_counts()
+            );
+
             let mixed_answers = served
                 .iter()
                 .zip(&mixed)

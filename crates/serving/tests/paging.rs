@@ -247,3 +247,53 @@ fn tenants_view_tracks_residency() {
     assert!(fleet.resident_len() <= 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A tenant whose page-out persist fails stays resident, and the failure
+/// counts once — in the tenant's `persist_errors()` — never as a failed
+/// fault-in.
+#[test]
+fn failed_page_out_is_a_persist_error_not_a_fault_error() {
+    let bns = fleet_models(2);
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| tenant_batch(bn, 6, 130 + i as u64))
+        .collect();
+    let dir = temp_dir("persist-fail");
+    let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+
+    // a regular file where the store directory was: create_dir_all fails
+    // even for root
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::write(&dir, b"not a directory").unwrap();
+
+    // tenant 0 publishes an epoch the store cannot take; it is the
+    // least-recently-used tenant, so serving tenant 1 tries to evict it
+    let (_, t0) = fleet
+        .tenants()
+        .into_iter()
+        .find(|(id, _)| *id == TenantId(0))
+        .unwrap();
+    t0.publish(Materialization::default());
+    assert_ne!(t0.persisted_epoch(), Some(t0.epoch()));
+    let batch: Vec<(TenantId, ServeRequest)> = batches[1]
+        .iter()
+        .map(|q| (TenantId(1), q.clone()))
+        .collect();
+    let (answers, stats) = fleet.serve_mixed(&batch);
+    assert!(answers.iter().all(ServeOutcome::is_served));
+
+    let resident: Vec<TenantId> = fleet.tenants().into_iter().map(|(id, _)| id).collect();
+    assert!(
+        resident.contains(&TenantId(0)),
+        "the only copy of tenant 0's epoch must stay in RAM"
+    );
+    assert_eq!(stats.fault_errors, 0, "a page-out is not a fault-in");
+    assert_eq!(fleet.paging_stats().fault_errors, 0);
+    assert!(t0.persist_errors() >= 1);
+    let _ = std::fs::remove_file(&dir);
+}

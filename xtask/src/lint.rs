@@ -47,11 +47,13 @@ use std::process::ExitCode;
 /// byte module (mmap + aligned slice reinterpretation).
 const UNSAFE_ALLOWLIST: &[&str] = &["crates/serving/src/pool.rs", "crates/store/src/bytes.rs"];
 
-/// Serving hot-path files subject to R4.
+/// Serving hot-path files subject to R4: every file on the request path.
 const HOT_PATHS: &[&str] = &[
     "crates/serving/src/pool.rs",
+    "crates/serving/src/pipeline.rs",
     "crates/serving/src/engine.rs",
     "crates/serving/src/shard.rs",
+    "crates/serving/src/session.rs",
 ];
 
 /// Panicking constructs forbidden on hot paths (R4).
