@@ -1,22 +1,15 @@
 //! Flat packing of a materialization's shortcut tables.
 //!
-//! A [`FlatMaterialization`] is the serving-side counterpart of the
-//! junction tree's [`TreeArena`](peanut_junction::TreeArena): every
-//! materialized shortcut table of one [`Materialization`] copied into a
-//! single contiguous `f64` slab, addressed by per-shortcut `(offset, len)`
-//! spans. The epoch lifecycle publishes one of these per artifact, so a
-//! published epoch is a *relocatable* buffer — the seam the planned
-//! zero-copy mmap materialization store plugs into: persist the slab,
-//! map it back, [`unpack_into`](FlatMaterialization::unpack_into) a
-//! freshly selected (table-less) materialization, and serve.
+//! A [`FlatMaterialization`] is the write-side form of one epoch's
+//! shortcut tables: every materialized table of one [`Materialization`]
+//! copied back to back into a single contiguous `f64` slab, addressed by
+//! per-shortcut `(offset, len)` spans. It is packed only at the moment a
+//! store file is written; serving reads the owned tables of the
+//! [`Materialization`] itself, and the store decodes its file straight
+//! back into one.
 
 use crate::online::Materialization;
 use peanut_pgm::Size;
-
-/// Sentinel offset marking a symbolic (table-less) shortcut slot in the
-/// on-disk span arrays a [`FlatView`] borrows. Dense spans always carry a
-/// real offset, so the all-ones pattern can never collide with one.
-pub const SYMBOLIC_SPAN: u64 = u64::MAX;
 
 /// All dense shortcut tables of one materialization, packed back to back
 /// into a single slab. Spans are parallel to
@@ -98,164 +91,6 @@ impl FlatMaterialization {
     pub fn table(&self, i: usize) -> Option<&[f64]> {
         self.spans[i].map(|(off, len)| &self.slab[off..off + len])
     }
-
-    /// Writes the packed values back into `mat`'s shortcut tables (the
-    /// mmap-load path: reattach a persisted slab to a re-derived
-    /// materialization). Returns `false` without touching anything when the
-    /// shapes disagree — wrong shortcut count, a dense/symbolic mismatch,
-    /// or a table length drift.
-    #[must_use]
-    pub fn unpack_into(&self, mat: &mut Materialization) -> bool {
-        if mat.shortcuts.len() != self.spans.len() {
-            return false;
-        }
-        let compatible =
-            mat.shortcuts
-                .iter()
-                .zip(&self.spans)
-                .all(|(s, span)| match (&s.potential, span) {
-                    (Some(p), Some((_, len))) => p.len() == *len,
-                    (None, None) => true,
-                    _ => false,
-                });
-        if !compatible {
-            return false;
-        }
-        for (s, span) in mat.shortcuts.iter_mut().zip(&self.spans) {
-            if let (Some(p), Some((off, len))) = (&mut s.potential, span) {
-                p.values_mut().copy_from_slice(&self.slab[*off..off + len]);
-            }
-        }
-        mat.epoch = self.epoch;
-        true
-    }
-}
-
-/// A [`FlatMaterialization`] borrowed straight from someone else's memory —
-/// the zero-copy read side of the materialization store. The span arrays
-/// and the value slab are slices into an mmap'd (or otherwise externally
-/// owned) buffer; constructing a view performs **no** deserialization pass
-/// and no allocation. Symbolic shortcuts are marked with
-/// [`SYMBOLIC_SPAN`] in the offset array.
-///
-/// The view is a safe type: whoever produces the slices (the store's
-/// audited byte-cast module) is responsible for alignment and bounds; the
-/// accessors here re-check span bounds so a corrupt file can at worst
-/// return `None`, never read out of range.
-#[derive(Clone, Copy, Debug)]
-pub struct FlatView<'a> {
-    epoch: u64,
-    span_off: &'a [u64],
-    span_len: &'a [u64],
-    slab: &'a [f64],
-}
-
-impl<'a> FlatView<'a> {
-    /// Wraps borrowed span arrays and a value slab as a view. Returns
-    /// `None` when the two span arrays disagree in length (a malformed
-    /// file) — span/slab *bounds* are checked lazily per access.
-    pub fn new(
-        epoch: u64,
-        span_off: &'a [u64],
-        span_len: &'a [u64],
-        slab: &'a [f64],
-    ) -> Option<Self> {
-        if span_off.len() != span_len.len() {
-            return None;
-        }
-        Some(FlatView {
-            epoch,
-            span_off,
-            span_len,
-            slab,
-        })
-    }
-
-    /// The lifecycle epoch the viewed pack was taken from.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of shortcut slots (dense or symbolic).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.span_off.len()
-    }
-
-    /// True when no shortcuts are packed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.span_off.is_empty()
-    }
-
-    /// Total packed entries (the dense portion of the actual budget).
-    #[inline]
-    pub fn packed_entries(&self) -> Size {
-        self.slab.len() as Size
-    }
-
-    /// The whole borrowed slab.
-    #[inline]
-    pub fn slab(&self) -> &'a [f64] {
-        self.slab
-    }
-
-    /// `(offset, len)` span of shortcut `i`'s table; `None` if symbolic
-    /// or out of the slab's bounds (corrupt span).
-    pub fn span(&self, i: usize) -> Option<(usize, usize)> {
-        let off = self.span_off[i];
-        if off == SYMBOLIC_SPAN {
-            return None;
-        }
-        let (off, len) = (off as usize, self.span_len[i] as usize);
-        (off.checked_add(len)? <= self.slab.len()).then_some((off, len))
-    }
-
-    /// The borrowed values of shortcut `i`'s table, `None` if symbolic.
-    pub fn table(&self, i: usize) -> Option<&'a [f64]> {
-        self.span(i).map(|(off, len)| &self.slab[off..off + len])
-    }
-
-    /// Copies the view into an owned [`FlatMaterialization`] (the one
-    /// deliberate copy on a rehydration path that needs to outlive the
-    /// mapping).
-    pub fn to_flat(&self) -> FlatMaterialization {
-        FlatMaterialization {
-            epoch: self.epoch,
-            spans: (0..self.len()).map(|i| self.span(i)).collect(),
-            slab: self.slab.to_vec(),
-        }
-    }
-
-    /// Writes the viewed values into `mat`'s shortcut tables, shape-checked
-    /// exactly like [`FlatMaterialization::unpack_into`]: returns `false`
-    /// without touching anything on any disagreement.
-    #[must_use]
-    pub fn unpack_into(&self, mat: &mut Materialization) -> bool {
-        if mat.shortcuts.len() != self.len() {
-            return false;
-        }
-        let compatible =
-            mat.shortcuts
-                .iter()
-                .enumerate()
-                .all(|(i, s)| match (&s.potential, self.span(i)) {
-                    (Some(p), Some((_, len))) => p.len() == len,
-                    (None, None) => self.span_off[i] == SYMBOLIC_SPAN,
-                    _ => false,
-                });
-        if !compatible {
-            return false;
-        }
-        for (i, s) in mat.shortcuts.iter_mut().enumerate() {
-            if let (Some(p), Some((off, len))) = (&mut s.potential, self.span(i)) {
-                p.values_mut().copy_from_slice(&self.slab[off..off + len]);
-            }
-        }
-        mat.epoch = self.epoch;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -313,43 +148,13 @@ mod tests {
                 other => panic!("span/table mismatch at {i}: {other:?}"),
             }
         }
-        // relocate: zero the owned tables, reattach from the pack
-        let mut blank = mat.clone();
-        for s in &mut blank.shortcuts {
-            if let Some(p) = &mut s.potential {
-                p.values_mut().fill(0.0);
-            }
+        // dense spans tile the slab back to back, in shortcut order
+        let mut next = 0;
+        for (off, len) in (0..flat.len()).filter_map(|i| flat.span(i)) {
+            assert_eq!(off, next);
+            next += len;
         }
-        blank.epoch = 0;
-        assert!(flat.unpack_into(&mut blank));
-        assert_eq!(blank.epoch, 7);
-        for (a, b) in blank.shortcuts.iter().zip(&mat.shortcuts) {
-            match (&a.potential, &b.potential) {
-                (Some(pa), Some(pb)) => {
-                    for (x, y) in pa.values().iter().zip(pb.values()) {
-                        assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
-                (None, None) => {}
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    #[test]
-    fn unpack_rejects_shape_drift() {
-        let mat = sample_mat();
-        let flat = FlatMaterialization::pack(&mat);
-        let mut fewer = mat.clone();
-        fewer.shortcuts.pop();
-        assert!(!flat.unpack_into(&mut fewer));
-        let mut symbolic = mat.clone();
-        for s in &mut symbolic.shortcuts {
-            s.potential = None;
-        }
-        let before = symbolic.epoch;
-        assert!(!flat.unpack_into(&mut symbolic));
-        assert_eq!(symbolic.epoch, before, "failed unpack must not stamp");
+        assert_eq!(next as Size, flat.packed_entries());
     }
 
     #[test]
@@ -358,84 +163,5 @@ mod tests {
         assert!(flat.is_empty());
         assert_eq!(flat.packed_entries(), 0);
         assert!(flat.slab().is_empty());
-    }
-
-    /// Encodes a pack the way the store file does: `u64` span arrays with
-    /// the symbolic sentinel.
-    fn spans_of(flat: &FlatMaterialization) -> (Vec<u64>, Vec<u64>) {
-        (0..flat.len())
-            .map(|i| match flat.span(i) {
-                Some((off, len)) => (off as u64, len as u64),
-                None => (SYMBOLIC_SPAN, 0),
-            })
-            .unzip()
-    }
-
-    #[test]
-    fn view_round_trips_bitwise_and_rebuilds_owned() {
-        let mat = sample_mat();
-        let flat = FlatMaterialization::pack(&mat);
-        let (off, len) = spans_of(&flat);
-        let view = FlatView::new(flat.epoch(), &off, &len, flat.slab()).unwrap();
-        assert_eq!(view.epoch(), 7);
-        assert_eq!(view.len(), flat.len());
-        assert_eq!(view.packed_entries(), flat.packed_entries());
-        for i in 0..flat.len() {
-            match (flat.table(i), view.table(i)) {
-                (Some(a), Some(b)) => {
-                    for (x, y) in a.iter().zip(b) {
-                        assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
-                (None, None) => assert_eq!(view.span(i), None),
-                other => panic!("table mismatch at {i}: {other:?}"),
-            }
-        }
-        // unpack through the view restores a blanked materialization
-        let mut blank = mat.clone();
-        for s in &mut blank.shortcuts {
-            if let Some(p) = &mut s.potential {
-                p.values_mut().fill(0.0);
-            }
-        }
-        blank.epoch = 0;
-        assert!(view.unpack_into(&mut blank));
-        assert_eq!(blank.epoch, 7);
-        for (a, b) in blank.shortcuts.iter().zip(&mat.shortcuts) {
-            match (&a.potential, &b.potential) {
-                (Some(pa), Some(pb)) => assert_eq!(pa.values(), pb.values()),
-                (None, None) => {}
-                _ => unreachable!(),
-            }
-        }
-        // ...and the owned copy equals the original pack bitwise
-        let owned = view.to_flat();
-        assert_eq!(owned.epoch(), flat.epoch());
-        assert_eq!(owned.slab().len(), flat.slab().len());
-        for (a, b) in owned.slab().iter().zip(flat.slab()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn view_rejects_malformed_spans() {
-        // disagreeing span-array lengths never construct
-        assert!(FlatView::new(0, &[0], &[], &[]).is_none());
-        // a span pointing past the slab is reported as absent, not read
-        let slab = [1.0, 2.0];
-        let view = FlatView::new(3, &[1], &[4], &slab).unwrap();
-        assert_eq!(view.span(0), None);
-        assert_eq!(view.table(0), None);
-        // an overflowing offset+len must not wrap around
-        let view = FlatView::new(3, &[u64::MAX - 1], &[4], &slab).unwrap();
-        assert_eq!(view.span(0), None);
-        // a dense-looking mat cannot attach to the corrupt span
-        let mut mat = sample_mat();
-        let (off, len) = spans_of(&FlatMaterialization::pack(&mat));
-        let mut bad_off = off.clone();
-        bad_off[0] = 10_000; // out of the slab
-        let flat = FlatMaterialization::pack(&mat);
-        let view = FlatView::new(7, &bad_off, &len, flat.slab()).unwrap();
-        assert!(!view.unpack_into(&mut mat));
     }
 }

@@ -252,10 +252,6 @@ impl AnswerCache {
 struct EpochState {
     mat: Arc<Materialization>,
     stats: Arc<WorkloadStats>,
-    /// All dense shortcut tables of `mat` packed into one contiguous slab,
-    /// taken at publish time. This is the relocatable artifact the future
-    /// mmap materialization store persists per epoch.
-    flat: Arc<FlatMaterialization>,
 }
 
 /// Write-behind persistence hook of one serving engine: where epochs go
@@ -321,13 +317,11 @@ impl<'t> ServingEngine<'t> {
         mat: Arc<Materialization>,
         cfg: ServingConfig,
     ) -> Self {
-        let flat = Arc::new(FlatMaterialization::pack(&mat));
         ServingEngine {
             engine,
             state: RwLock::new(EpochState {
                 mat,
                 stats: Arc::new(WorkloadStats::new()),
-                flat,
             }),
             cfg,
             cache: Mutex::new(AnswerCache::default()),
@@ -339,7 +333,8 @@ impl<'t> ServingEngine<'t> {
 
     /// Attaches epoch persistence: every [`publish`](Self::publish) (and
     /// explicit [`persist_current`](Self::persist_current) call) writes
-    /// the epoch's store file for `tenant` under `cfg.dir`. Persistence
+    /// the epoch's store file for `tenant` under `cfg.dir` and deletes
+    /// the tenant's files for older epochs. Persistence
     /// on publish is write-behind and best-effort — a failed write bumps
     /// [`persist_errors`](Self::persist_errors) and the epoch keeps
     /// serving from RAM.
@@ -387,8 +382,11 @@ impl<'t> ServingEngine<'t> {
     }
 
     /// Persists the currently served epoch to the attached store,
-    /// returning the epoch written. Errors are typed ([`PgmError`]) and
-    /// also counted in [`persist_errors`](Self::persist_errors).
+    /// returning the epoch written, and then deletes this tenant's files
+    /// for older epochs (best-effort). The shortcut tables are packed
+    /// for the file here, outside the epoch lock. Errors are typed
+    /// ([`PgmError`]) and also counted in
+    /// [`persist_errors`](Self::persist_errors).
     pub fn persist_current(&self) -> Result<u64, PgmError> {
         let Some(store) = &self.store else {
             return Err(PgmError::StoreIo {
@@ -396,10 +394,7 @@ impl<'t> ServingEngine<'t> {
                 msg: "engine has no store attached".into(),
             });
         };
-        let (mat, flat) = {
-            let state = self.state.read();
-            (Arc::clone(&state.mat), Arc::clone(&state.flat))
-        };
+        let mat = Arc::clone(&self.state.read().mat);
         let Some(ns) = self.engine.numeric_state() else {
             // ordering: telemetry counter only.
             store.errors.fetch_add(1, Ordering::Relaxed);
@@ -412,6 +407,7 @@ impl<'t> ServingEngine<'t> {
                 msg: "symbolic engine has no calibrated slab to persist".into(),
             });
         };
+        let flat = FlatMaterialization::pack(&mat);
         match store
             .cfg
             .save_epoch(store.tenant, &mat, &flat, ns.arena().slab())
@@ -421,6 +417,7 @@ impl<'t> ServingEngine<'t> {
                 // persisted_epoch — the rename above happens-before any
                 // reader that observes the new mark.
                 store.persisted.store(mat.epoch + 1, Ordering::Release);
+                store.cfg.retire_before(store.tenant, mat.epoch);
                 Ok(mat.epoch)
             }
             Err(e) => {
@@ -495,12 +492,9 @@ impl<'t> ServingEngine<'t> {
         let epoch = {
             let mut state = self.state.write();
             let epoch = state.mat.epoch + 1;
-            let mat = Arc::new(mat.with_epoch(epoch));
-            let flat = Arc::new(FlatMaterialization::pack(&mat));
             *state = EpochState {
-                mat,
+                mat: Arc::new(mat.with_epoch(epoch)),
                 stats: Arc::new(WorkloadStats::new()),
-                flat,
             };
             epoch
         };
@@ -510,13 +504,6 @@ impl<'t> ServingEngine<'t> {
             let _ = self.persist_current();
         }
         epoch
-    }
-
-    /// The current epoch's flat pack: every dense shortcut table in one
-    /// relocatable slab, stamped with the served epoch. Published
-    /// atomically with the materialization itself.
-    pub fn flat_materialization(&self) -> Arc<FlatMaterialization> {
-        Arc::clone(&self.state.read().flat)
     }
 
     /// Starts a fresh observation window for the current epoch without
@@ -801,59 +788,6 @@ mod tests {
         let (_, s3) = serving.serve_batch(&batch);
         assert_eq!(s3.cache_hits, s3.unique);
         assert_eq!(s3.stale_hits, 0);
-    }
-
-    #[test]
-    fn publish_packs_flat_slab_atomically() {
-        use peanut_core::Shortcut;
-        use peanut_junction::{NumericState, RootedTree};
-        let bn = fixtures::figure1();
-        let tree = build_junction_tree(&bn).unwrap();
-        let rooted = RootedTree::new(&tree);
-        let mut ns = NumericState::initialize(&tree, &bn).unwrap();
-        ns.calibrate(&tree, &rooted).unwrap();
-        let s = Shortcut::from_nodes(&tree, &rooted, vec![0]).unwrap();
-        let (pot, _) = s.materialize(&tree, &rooted, &ns).unwrap();
-        let mat = Materialization {
-            shortcuts: vec![peanut_core::MaterializedShortcut {
-                ratio: 1.0,
-                benefit: 1.0,
-                potential: Some(pot.clone()),
-                shortcut: s,
-            }],
-            overlapping: false,
-            epoch: 0,
-        };
-
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
-        let serving =
-            ServingEngine::new(engine, Materialization::default(), ServingConfig::default());
-        assert!(serving.flat_materialization().is_empty());
-
-        let epoch = serving.publish(mat);
-        let flat = serving.flat_materialization();
-        // the pack carries the published epoch and the exact table bytes —
-        // the relocatable artifact a per-epoch store would persist
-        assert_eq!(flat.epoch(), epoch);
-        assert_eq!(flat.len(), 1);
-        let packed = flat.table(0).unwrap();
-        assert_eq!(packed.len(), pot.len());
-        for (a, b) in packed.iter().zip(pot.values()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // reattaching the slab restores a blanked materialization bitwise
-        let mut blank = (*serving.materialization()).clone();
-        blank.shortcuts[0]
-            .potential
-            .as_mut()
-            .unwrap()
-            .values_mut()
-            .fill(0.0);
-        assert!(flat.unpack_into(&mut blank));
-        assert_eq!(
-            blank.shortcuts[0].potential.as_ref().unwrap().values(),
-            pot.values()
-        );
     }
 
     #[test]

@@ -91,11 +91,6 @@ pub struct LifecycleConfig {
     pub epsilon: f64,
     /// PEANUT (disjoint) or PEANUT+ (overlapping) re-selection.
     pub variant: Variant,
-    /// Worker threads for the offline DP fan-out **when the serving
-    /// engine has no pool to reuse** (it serves sequentially). An engine
-    /// that fans out lends its persistent [`WorkerPool`](crate::WorkerPool)
-    /// to the re-selection instead, and this knob is ignored.
-    pub threads: usize,
 }
 
 impl LifecycleConfig {
@@ -111,7 +106,6 @@ impl LifecycleConfig {
             budget,
             epsilon: 1.2,
             variant: Variant::PeanutPlus,
-            threads: 1,
         }
     }
 
@@ -139,13 +133,6 @@ impl LifecycleConfig {
     /// Sets the re-selection variant (chainable).
     pub fn with_variant(mut self, variant: Variant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Sets the offline fan-out thread count used when the engine has no
-    /// pool to lend (chainable).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 }
@@ -401,7 +388,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
             return Ok(None);
         }
         let engine = self.serving.engine();
-        let exec = self.serving.pool.offline_exec(self.cfg.threads);
+        let exec = self.serving.pool.offline_exec();
         let t0 = Instant::now();
         let mat = reselect(
             engine,
@@ -478,10 +465,6 @@ pub struct FleetConfig {
     pub epsilon: f64,
     /// PEANUT (disjoint) or PEANUT+ (overlapping) candidate selection.
     pub variant: Variant,
-    /// Worker threads for each tenant's offline DP fan-out when the
-    /// sharded engine has no pool to reuse (see
-    /// [`LifecycleConfig::threads`]).
-    pub threads: usize,
     /// Cache each tenant's full-budget candidate shortcut set between
     /// rebalances, keyed on the fingerprint of its observed distribution
     /// (on by default). A tenant whose window replays the same query mix
@@ -509,7 +492,6 @@ impl FleetConfig {
             budget,
             epsilon: 1.2,
             variant: Variant::PeanutPlus,
-            threads: 1,
             cache_candidates: true,
             min_savings: 0.01,
             decay_threshold: 0.5,
@@ -721,7 +703,7 @@ impl<'s, 't> FleetController<'s, 't> {
             current_ops: f64,
             base_ops: f64,
         }
-        let exec = self.sharded.pool.offline_exec(self.cfg.threads);
+        let exec = self.sharded.pool.offline_exec();
         let t0 = Instant::now();
         let mut candidates: Vec<Candidate<'t>> = Vec::new();
         for ((id, eng, snap), (_, share)) in tenants.iter().zip(&shares) {
@@ -1529,7 +1511,7 @@ mod tests {
 
         // same budget, same engine, same DP — only the observed
         // distribution differs, and the chosen shortcut set moves with it
-        let exec = serving.pool.offline_exec(1);
+        let exec = serving.pool.offline_exec();
         let mat_joint = reselect(
             serving.engine(),
             &joint_w,

@@ -63,7 +63,7 @@
 //! isolates one measurement window from pool-lifetime totals.
 
 use crate::engine::ServingConfig;
-use peanut_core::exec::{Executor, ScopedExecutor, SequentialExecutor};
+use peanut_core::exec::{Executor, SequentialExecutor};
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::thread::{self, JoinHandle};
 use peanut_core::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -241,13 +241,11 @@ impl PoolCell {
 
     /// Executor for off-path offline work (lifecycle/fleet re-selection):
     /// the persistent pool's [`Lane::Remat`] when batches fan out — so a
-    /// re-selection wave can never head-of-line block serving waves — a
-    /// scoped `threads`-wide fan-out otherwise (sequential when 1).
-    pub(crate) fn offline_exec(&self, threads: usize) -> Box<dyn Executor + '_> {
+    /// re-selection wave can never head-of-line block serving waves —
+    /// sequential otherwise.
+    pub(crate) fn offline_exec(&self) -> Box<dyn Executor + '_> {
         if self.fans_out() {
             Box::new(self.get().lane_executor(Lane::Remat))
-        } else if threads > 1 {
-            Box::new(ScopedExecutor::new(threads))
         } else {
             Box::new(SequentialExecutor)
         }

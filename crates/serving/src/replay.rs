@@ -23,7 +23,7 @@
 use crate::engine::ServingEngine;
 use crate::overload::{AdmissionConfig, ServeOutcome, ShedReason};
 use crate::pool::PoolStats;
-use crate::shard::{ShardedServingEngine, TenantId};
+use crate::shard::{MixedBatchStats, ShardedServingEngine, TenantId};
 use peanut_core::ServeRequest;
 use peanut_junction::{JunctionTree, RootedTree};
 use peanut_workload::{skewed_queries, uniform_queries, with_evidence, QuerySpec};
@@ -60,8 +60,9 @@ pub struct ReplayReport {
     pub cache_hits: usize,
     /// Cache entries found stale after an epoch swap and lazily dropped.
     pub stale_hits: usize,
-    /// Materialization epochs observed: (first batch, last batch). They
-    /// differ when a re-materialization was published mid-replay.
+    /// Materialization epochs observed: (lowest, highest) over every
+    /// batch and tenant — for one engine, the first and the last batch's.
+    /// They differ when a re-materialization was published mid-replay.
     pub epochs: (u64, u64),
     /// End-to-end wall-clock time.
     pub wall: Duration,
@@ -117,47 +118,21 @@ pub fn replay(
     queries: &[ServeRequest],
     cfg: &ReplayConfig,
 ) -> ReplayReport {
-    let batch_size = cfg.batch_size.max(1);
     engine.warm_pool();
-    let pool_before = engine.pool_stats().unwrap_or_default();
-    let start = Instant::now();
-    let mut report = ReplayReport {
-        queries: queries.len(),
-        ..ReplayReport::default()
-    };
-    let mut latencies: Vec<Duration> = Vec::with_capacity(queries.len());
-    for batch in queries.chunks(batch_size) {
-        let (answers, stats) = engine.serve_batch(batch);
-        if report.batches == 0 {
-            report.epochs.0 = stats.epoch;
-        }
-        report.epochs.1 = stats.epoch;
-        report.batches += 1;
-        report.unique += stats.unique;
-        report.cache_hits += stats.cache_hits;
-        report.stale_hits += stats.stale_hits;
-        report.total_ops = report.total_ops.saturating_add(stats.total_ops);
-        report.shortcuts_used += stats.shortcuts_used;
-        for a in &answers {
-            match a.served() {
-                Some(served) => latencies.push(served.latency()),
-                None => report.errors += 1,
-            }
-        }
-    }
-    report.wall = start.elapsed();
-    report.pool = engine
-        .pool_stats()
-        .unwrap_or_default()
-        .delta_since(&pool_before);
-    if report.wall.as_secs_f64() > 0.0 {
-        report.throughput_qps = report.queries as f64 / report.wall.as_secs_f64();
-    }
-    latencies.sort_unstable();
-    report.latency_p50 = percentile(&latencies, 0.50);
-    report.latency_p95 = percentile(&latencies, 0.95);
-    report.latency_p99 = percentile(&latencies, 0.99);
-    report
+    closed_loop_drive(queries, cfg, &|| engine.pool_stats(), |batch| {
+        let (answers, s) = engine.serve_batch(batch);
+        // a single engine reports as a fleet of one tenant that never pages
+        let stats = MixedBatchStats {
+            unique: s.unique,
+            cache_hits: s.cache_hits,
+            stale_hits: s.stale_hits,
+            total_ops: s.total_ops,
+            shortcuts_used: s.shortcuts_used,
+            per_tenant: vec![(TenantId(0), s)],
+            ..MixedBatchStats::default()
+        };
+        (answers, stats)
+    })
 }
 
 /// Streams a multi-tenant arrival stream through a sharded engine in
@@ -169,18 +144,33 @@ pub fn replay_mixed(
     arrivals: &[(TenantId, ServeRequest)],
     cfg: &ReplayConfig,
 ) -> ReplayReport {
-    let batch_size = cfg.batch_size.max(1);
     engine.warm_pool();
-    let pool_before = engine.pool_stats().unwrap_or_default();
+    closed_loop_drive(arrivals, cfg, &|| engine.pool_stats(), |batch| {
+        engine.serve_mixed(batch)
+    })
+}
+
+/// The shared closed-loop drive: offers `items` batch by batch to
+/// `serve`, the next batch only once the previous one completed, and
+/// aggregates the batch stats, per-arrival service times and the pool's
+/// counter deltas over the run. `epochs` is the min/max epoch any tenant
+/// served under.
+fn closed_loop_drive<T>(
+    items: &[T],
+    cfg: &ReplayConfig,
+    pool_stats: &dyn Fn() -> Option<PoolStats>,
+    mut serve: impl FnMut(&[T]) -> (Vec<ServeOutcome>, MixedBatchStats),
+) -> ReplayReport {
+    let pool_before = pool_stats().unwrap_or_default();
     let start = Instant::now();
     let mut report = ReplayReport {
-        queries: arrivals.len(),
+        queries: items.len(),
         ..ReplayReport::default()
     };
     let mut epochs: Option<(u64, u64)> = None;
-    let mut latencies: Vec<Duration> = Vec::with_capacity(arrivals.len());
-    for batch in arrivals.chunks(batch_size) {
-        let (answers, stats) = engine.serve_mixed(batch);
+    let mut latencies: Vec<Duration> = Vec::with_capacity(items.len());
+    for batch in items.chunks(cfg.batch_size.max(1)) {
+        let (answers, stats) = serve(batch);
         report.batches += 1;
         report.unique += stats.unique;
         report.cache_hits += stats.cache_hits;
@@ -205,10 +195,7 @@ pub fn replay_mixed(
     }
     report.epochs = epochs.unwrap_or_default();
     report.wall = start.elapsed();
-    report.pool = engine
-        .pool_stats()
-        .unwrap_or_default()
-        .delta_since(&pool_before);
+    report.pool = pool_stats().unwrap_or_default().delta_since(&pool_before);
     if report.wall.as_secs_f64() > 0.0 {
         report.throughput_qps = report.queries as f64 / report.wall.as_secs_f64();
     }

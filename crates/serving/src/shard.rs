@@ -422,7 +422,7 @@ impl<'t> ShardedServingEngine<'t> {
                 path: store.dir.display().to_string(),
                 msg: format!("no persisted epoch for {}", shard.id),
             })?;
-        let stored = StoredEpoch::open(&path, store.verify_checksum)?;
+        let stored = StoredEpoch::open(&path, true)?;
         let (engine, mat) = rehydrate_engine(shard.tree, &stored)?;
         let mut serving = ServingEngine::new(engine, mat, self.tenant_config());
         serving.set_store(store.clone(), shard.id.0);

@@ -6,6 +6,7 @@
 //!   more than `max_resident` tenants in RAM;
 //! * a paged-out tenant faults back in on access, resuming its epoch
 //!   sequence (publishes persist write-behind and survive a page-out);
+//! * a persisted epoch retires the tenant's older store files;
 //! * paging telemetry (faults, page-outs, fault wall time) is reported
 //!   per batch and cumulatively.
 
@@ -204,6 +205,58 @@ fn publish_survives_a_page_out() {
     );
     assert_eq!(t0.publish(Materialization::default()), 2);
     assert!(fleet.paging_stats().faults >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each persisted epoch supersedes the tenant's older files: after three
+/// publishes the store holds exactly one file for the tenant, named for
+/// the newest epoch, and a page-out / fault-in cycle resumes there.
+#[test]
+fn superseded_epoch_files_are_retired() {
+    let bns = fleet_models(2);
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| tenant_batch(bn, 8, 150 + i as u64))
+        .collect();
+    let dir = temp_dir("retire");
+    let store = StoreConfig::new(&dir);
+    let fleet = build_fleet(&trees, &bns, &batches, Some(store.clone()), 1);
+
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    for want in 1..=3 {
+        assert_eq!(t0.publish(Materialization::default()), want);
+    }
+    assert_eq!(t0.persist_errors(), 0);
+    drop(t0);
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("tenant0-"))
+        .collect();
+    let newest = store.epoch_path(0, 3);
+    assert_eq!(
+        files,
+        vec![newest.file_name().unwrap().to_string_lossy().into_owned()],
+        "only the newest epoch's file may remain"
+    );
+
+    // page tenant 0 out, then fault it back in: it resumes at epoch 3
+    fleet.tenant(TenantId(1)).unwrap();
+    assert!(fleet.resident_len() <= 1);
+    let faults = fleet.paging_stats().faults;
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    assert_eq!(
+        fleet.paging_stats().faults,
+        faults + 1,
+        "tenant 0 faulted in"
+    );
+    assert_eq!(t0.epoch(), 3);
+    assert_eq!(store.latest_epoch(0).map(|(e, _)| e), Some(3));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,12 +6,14 @@
 //! Zero-copy persistence for published serving epochs: one mmap-able
 //! file per `(tenant, epoch)` holding everything a tenant needs to serve
 //! — the calibrated [`TreeArena`](peanut_junction::TreeArena) slab, the
-//! span-packed [`FlatMaterialization`] slab, and the structural shortcut
+//! shortcut tables packed back to back (a [`FlatMaterialization`], made
+//! only while the file is written), and the structural shortcut
 //! descriptions (clique node lists, ratios, benefits) the selection DP
-//! produced. Cold start becomes `open` + a couple of `memcpy`s instead
-//! of re-running initialization, two Hugin calibration passes, and the
-//! selection DP; the sharded serving layer uses the same files to page
-//! cold tenants out of RAM and fault them back in on demand.
+//! produced. Reading a file decodes it straight back into an owned
+//! [`Materialization`]. Cold start becomes `open` + a couple of `memcpy`s
+//! instead of re-running initialization, two Hugin calibration passes,
+//! and the selection DP; the sharded serving layer uses the same files to
+//! page cold tenants out of RAM and fault them back in on demand.
 //!
 //! ## File format (version 1)
 //!
@@ -44,7 +46,8 @@
 //! ```
 //!
 //! The header states exactly how long the file must be; `open` rejects
-//! any length mismatch, so truncation can never read garbage. The
+//! any length mismatch, so truncation can never read garbage, and every
+//! dense span must lie inside the table slab. The
 //! checksum catches bit rot and torn writes (writes go to a temp file
 //! that is renamed into place, so a crash mid-write leaves no partial
 //! file under the real name). A wrong version is a typed
@@ -55,9 +58,7 @@
 #[allow(unsafe_code)]
 pub mod bytes;
 
-use peanut_core::{
-    FlatMaterialization, FlatView, Materialization, MaterializedShortcut, Shortcut, SYMBOLIC_SPAN,
-};
+use peanut_core::{FlatMaterialization, Materialization, MaterializedShortcut, Shortcut};
 use peanut_junction::{JunctionTree, NumericState, QueryEngine, RootedTree};
 use peanut_pgm::{PgmError, Potential};
 use std::fs;
@@ -77,6 +78,11 @@ pub const VERSION: u64 = 1;
 /// Header length in 8-byte words.
 const HEADER_WORDS: usize = 10;
 
+/// Span offset marking a symbolic (table-less) shortcut slot. Dense spans
+/// always carry an offset inside the table slab, so the all-ones pattern
+/// can never collide with one.
+const SYMBOLIC_SPAN: u64 = u64::MAX;
+
 /// FNV-1a 64-bit over `bytes` — the store's integrity checksum. Chosen
 /// for being dependency-free, endian-agnostic over a byte stream, and
 /// plenty for catching torn writes and bit rot (this is not a
@@ -90,26 +96,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Where and how a fleet persists epochs: the directory store files live
-/// in plus read-side validation knobs. Cloned freely (it is a path and a
-/// flag), carried by engines that persist and shards that page.
+/// Where a fleet persists epochs: the directory store files live in.
+/// Cloned freely (it is a path), carried by engines that persist and
+/// shards that page.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Directory holding one `.pnut` file per persisted `(tenant, epoch)`.
     pub dir: PathBuf,
-    /// Verify the FNV checksum on every open (default). Turning this off
-    /// skips one pass over the file on fault-in; truncation and shape
-    /// mismatches are still always rejected.
-    pub verify_checksum: bool,
 }
 
 impl StoreConfig {
-    /// A store rooted at `dir`, checksums verified.
+    /// A store rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        StoreConfig {
-            dir: dir.into(),
-            verify_checksum: true,
-        }
+        StoreConfig { dir: dir.into() }
     }
 
     /// The file path for `(tenant, epoch)`. Epochs are zero-padded so
@@ -123,25 +122,48 @@ impl StoreConfig {
     /// directory. `None` when the tenant has no persisted epoch (or the
     /// directory does not exist yet).
     pub fn latest_epoch(&self, tenant: u32) -> Option<(u64, PathBuf)> {
-        let prefix = format!("tenant{tenant}-epoch");
-        let mut best: Option<(u64, PathBuf)> = None;
-        for entry in fs::read_dir(&self.dir).ok()?.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let Some(rest) = name.strip_prefix(&prefix) else {
-                continue;
-            };
-            let Some(digits) = rest.strip_suffix(".pnut") else {
-                continue;
-            };
-            let Ok(epoch) = digits.parse::<u64>() else {
-                continue;
-            };
-            if best.as_ref().is_none_or(|(e, _)| epoch > *e) {
-                best = Some((epoch, entry.path()));
-            }
+        self.epochs(tenant).max_by_key(|&(epoch, _)| epoch)
+    }
+
+    /// Deletes `tenant`'s files for every epoch below `epoch` — the files
+    /// a newer persisted epoch supersedes. Best-effort: a file that cannot
+    /// be removed stays, and fault-in still picks the newest epoch.
+    pub fn retire_before(&self, tenant: u32, epoch: u64) {
+        let older: Vec<PathBuf> = self
+            .epochs(tenant)
+            .filter(|&(e, _)| e < epoch)
+            .map(|(_, path)| path)
+            .collect();
+        // The newer file's name must survive a crash before the older
+        // copies go, so sync the directory first; keep them if that fails.
+        if older.is_empty()
+            || fs::File::open(&self.dir)
+                .and_then(|d| d.sync_all())
+                .is_err()
+        {
+            return;
         }
-        best
+        for path in older {
+            let _ = fs::remove_file(path);
+        }
+    }
+
+    /// Every persisted `(epoch, path)` of `tenant`, in directory order;
+    /// empty when the store directory does not exist yet.
+    fn epochs(&self, tenant: u32) -> impl Iterator<Item = (u64, PathBuf)> {
+        let prefix = format!("tenant{tenant}-epoch");
+        fs::read_dir(&self.dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(move |entry| {
+                let name = entry.file_name();
+                let digits = name
+                    .to_str()?
+                    .strip_prefix(&prefix)?
+                    .strip_suffix(".pnut")?;
+                Some((digits.parse().ok()?, entry.path()))
+            })
     }
 
     /// Persists one epoch for `tenant`, creating the store directory on
@@ -209,52 +231,44 @@ pub fn save(
         + n // span_off
         + n // span_len
         + flat.slab().len();
-    let mut words: Vec<u64> = Vec::with_capacity(total_words);
-    let flags = u64::from(mat.overlapping);
-    words.extend_from_slice(&[
-        MAGIC,
-        VERSION,
-        0, // checksum, patched below
-        mat.epoch,
-        flags,
-        arena_slab.len() as u64,
-        n as u64,
-        nodes_len as u64,
-        flat.slab().len() as u64,
-        0, // reserved
-    ]);
-    words.extend(arena_slab.iter().map(|v| v.to_bits()));
+    let mut buf: Vec<u8> = Vec::with_capacity(total_words * 8);
+    put_words(
+        &mut buf,
+        [
+            MAGIC,
+            VERSION,
+            0, // checksum, patched below
+            mat.epoch,
+            u64::from(mat.overlapping),
+            arena_slab.len() as u64,
+            n as u64,
+            nodes_len as u64,
+            flat.slab().len() as u64,
+            0, // reserved
+        ],
+    );
+    put_words(&mut buf, arena_slab.iter().map(|v| v.to_bits()));
     // node_first: CSR prefix over the per-shortcut node lists
-    let mut acc = 0u64;
-    words.push(0);
-    for s in &mat.shortcuts {
-        acc += s.shortcut.nodes().len() as u64;
-        words.push(acc);
-    }
-    for s in &mat.shortcuts {
-        words.extend(s.shortcut.nodes().iter().map(|&u| u as u64));
-    }
-    words.extend(mat.shortcuts.iter().map(|s| s.ratio.to_bits()));
-    words.extend(mat.shortcuts.iter().map(|s| s.benefit.to_bits()));
-    for i in 0..n {
-        words.push(match flat.span(i) {
-            Some((off, _)) => off as u64,
-            None => SYMBOLIC_SPAN,
-        });
-    }
-    for i in 0..n {
-        words.push(match flat.span(i) {
-            Some((_, len)) => len as u64,
-            None => 0,
-        });
-    }
-    words.extend(flat.slab().iter().map(|v| v.to_bits()));
-    debug_assert_eq!(words.len(), total_words);
-
-    let mut buf: Vec<u8> = Vec::with_capacity(words.len() * 8);
-    for w in &words {
-        buf.extend_from_slice(&w.to_ne_bytes());
-    }
+    let node_first = mat.shortcuts.iter().scan(0u64, |acc, s| {
+        *acc += s.shortcut.nodes().len() as u64;
+        Some(*acc)
+    });
+    put_words(&mut buf, std::iter::once(0).chain(node_first));
+    let nodes = mat.shortcuts.iter().flat_map(|s| s.shortcut.nodes());
+    put_words(&mut buf, nodes.map(|&u| u as u64));
+    put_words(&mut buf, mat.shortcuts.iter().map(|s| s.ratio.to_bits()));
+    put_words(&mut buf, mat.shortcuts.iter().map(|s| s.benefit.to_bits()));
+    let spans = || (0..n).map(|i| flat.span(i));
+    put_words(
+        &mut buf,
+        spans().map(|sp| sp.map_or(SYMBOLIC_SPAN, |(off, _)| off as u64)),
+    );
+    put_words(
+        &mut buf,
+        spans().map(|sp| sp.map_or(0, |(_, len)| len as u64)),
+    );
+    put_words(&mut buf, flat.slab().iter().map(|v| v.to_bits()));
+    debug_assert_eq!(buf.len(), total_words * 8);
     let checksum = fnv1a64(&buf[3 * 8..]);
     buf[2 * 8..3 * 8].copy_from_slice(&checksum.to_ne_bytes());
 
@@ -272,11 +286,18 @@ pub fn save(
     Ok(())
 }
 
+/// Appends `words` to `buf` as 8-byte host-order words.
+fn put_words(buf: &mut Vec<u8>, words: impl IntoIterator<Item = u64>) {
+    for w in words {
+        buf.extend_from_slice(&w.to_ne_bytes());
+    }
+}
+
 /// One open store file, fully validated at open time: magic, version,
-/// exact length against the header, checksum (unless disabled), and CSR
-/// monotonicity. All accessors after a successful open hand out slices
-/// borrowed straight from the backing — zero copies until something is
-/// actually rebuilt.
+/// exact length against the header, checksum (unless disabled), CSR
+/// monotonicity, and every dense span inside the table slab. All
+/// accessors after a successful open hand out slices borrowed straight
+/// from the backing — zero copies until something is actually rebuilt.
 pub struct StoredEpoch {
     bytes: MappedBytes,
     path: PathBuf,
@@ -296,23 +317,21 @@ pub struct StoredEpoch {
 
 impl StoredEpoch {
     /// Opens and validates `path`. Zero-copy (mmap) when available,
-    /// owned-read otherwise; behavior is identical either way.
-    pub fn open(path: &Path, verify_checksum: bool) -> Result<StoredEpoch, PgmError> {
+    /// owned-read otherwise; behavior is identical either way. `verify`
+    /// checks the checksum (one pass over the file); the length, CSR and
+    /// span checks always run.
+    pub fn open(path: &Path, verify: bool) -> Result<StoredEpoch, PgmError> {
         let bytes = MappedBytes::open(path).map_err(|e| store_io(path, &e))?;
-        Self::validate(bytes, path.to_path_buf(), verify_checksum)
+        Self::validate(bytes, path.to_path_buf(), verify)
     }
 
     /// [`open`](Self::open) forced onto the owned (non-mmap) backing.
-    pub fn open_owned(path: &Path, verify_checksum: bool) -> Result<StoredEpoch, PgmError> {
+    pub fn open_owned(path: &Path, verify: bool) -> Result<StoredEpoch, PgmError> {
         let bytes = MappedBytes::read_owned(path).map_err(|e| store_io(path, &e))?;
-        Self::validate(bytes, path.to_path_buf(), verify_checksum)
+        Self::validate(bytes, path.to_path_buf(), verify)
     }
 
-    fn validate(
-        bytes: MappedBytes,
-        path: PathBuf,
-        verify_checksum: bool,
-    ) -> Result<StoredEpoch, PgmError> {
+    fn validate(bytes: MappedBytes, path: PathBuf, verify: bool) -> Result<StoredEpoch, PgmError> {
         let buf = bytes.as_bytes();
         if buf.len() < HEADER_WORDS * 8 {
             return Err(corrupt(
@@ -370,7 +389,7 @@ impl StoredEpoch {
                 ),
             ));
         }
-        if verify_checksum {
+        if verify {
             let want = header[2];
             let got = fnv1a64(&buf[3 * 8..]);
             if got != want {
@@ -421,6 +440,21 @@ impl StoredEpoch {
             return Err(corrupt(
                 &stored.path,
                 "shortcut node index (node_first) is not a monotone CSR over nodes_flat",
+            ));
+        }
+        // Every dense span must end inside the table slab, in checked
+        // arithmetic so a corrupt offset cannot wrap past the comparison.
+        let mut spans = stored
+            .u64s(&stored.span_off)
+            .iter()
+            .zip(stored.u64s(&stored.span_len));
+        let outside = |(&off, &len): (&u64, &u64)| {
+            off != SYMBOLIC_SPAN && off.checked_add(len).is_none_or(|end| end > mat_slab_len)
+        };
+        if let Some(i) = spans.position(outside) {
+            return Err(corrupt(
+                &stored.path,
+                format!("shortcut {i} has a dense span outside the table slab"),
             ));
         }
         Ok(stored)
@@ -486,34 +520,24 @@ impl StoredEpoch {
         self.f64s(&self.benefits)[i]
     }
 
-    /// Raw span offset of shortcut `i` ([`SYMBOLIC_SPAN`] for a
-    /// table-less slot).
-    pub fn span_off_raw(&self, i: usize) -> u64 {
-        self.u64s(&self.span_off)[i]
-    }
-
-    /// The zero-copy [`FlatView`] over the persisted table pack: span
-    /// arrays and value slab borrowed straight from the backing.
-    pub fn flat_view(&self) -> FlatView<'_> {
-        FlatView::new(
-            self.epoch,
-            self.u64s(&self.span_off),
-            self.u64s(&self.span_len),
-            self.f64s(&self.mat_slab),
-        )
-        .expect("span sections have equal length by construction")
+    /// Shortcut `i`'s persisted table values, borrowed from the backing;
+    /// `None` for a symbolic slot. Spans were bounds-checked at open.
+    fn table(&self, i: usize) -> Option<&[f64]> {
+        let off = self.u64s(&self.span_off)[i];
+        let len = self.u64s(&self.span_len)[i];
+        (off != SYMBOLIC_SPAN)
+            .then(|| &self.f64s(&self.mat_slab)[off as usize..(off + len) as usize])
     }
 
     /// Rebuilds the owned [`Materialization`] this file was saved from:
     /// structural shortcuts re-derived from the persisted node lists
-    /// (validated against `tree`), dense tables copied out of the pack.
-    /// Everything numeric is bit-identical to what was saved.
+    /// (validated against `tree`), dense tables copied out of the file's
+    /// table slab. Everything numeric is bit-identical to what was saved.
     pub fn rebuild_materialization(
         &self,
         tree: &JunctionTree,
         rooted: &RootedTree,
     ) -> Result<Materialization, PgmError> {
-        let view = self.flat_view();
         let mut shortcuts = Vec::with_capacity(self.n_shortcuts);
         for i in 0..self.n_shortcuts {
             let mut nodes = Vec::with_capacity(self.shortcut_nodes(i).len());
@@ -533,20 +557,14 @@ impl StoredEpoch {
                 nodes.push(u);
             }
             let shortcut = Shortcut::from_nodes(tree, rooted, nodes)?;
-            let potential = match view.table(i) {
-                Some(values) => {
+            let potential = self
+                .table(i)
+                .map(|values| {
                     let scope = shortcut.scope().clone();
                     let cards = tree.domain().cards_of(&scope);
-                    Some(Potential::new(scope, cards, values.to_vec())?)
-                }
-                None if self.span_off_raw(i) == SYMBOLIC_SPAN => None,
-                None => {
-                    return Err(corrupt(
-                        &self.path,
-                        format!("shortcut {i} has a dense span outside the table slab"),
-                    ))
-                }
-            };
+                    Potential::new(scope, cards, values.to_vec())
+                })
+                .transpose()?;
             shortcuts.push(MaterializedShortcut {
                 shortcut,
                 potential,
@@ -601,6 +619,5 @@ mod tests {
         let p10 = cfg.epoch_path(3, 10);
         assert!(p9 < p10, "zero-padding must keep lexicographic = numeric");
         assert!(p9.to_string_lossy().ends_with(".pnut"));
-        assert!(cfg.verify_checksum);
     }
 }

@@ -1,12 +1,13 @@
 //! Persistence round-trip guarantees:
 //!
 //! * publish → persist → rehydrate reproduces the serving artifact
-//!   **bit-identically** — arena slab, table pack, shortcut structure,
+//!   **bit-identically** — arena slab, shortcut tables, shortcut structure,
 //!   and every answer (marginal and evidence-conditioned), on fixtures
 //!   and on random networks;
 //! * rehydrated answers also agree with a single-threaded VE oracle;
-//! * corrupted, truncated, or wrong-version files fail loudly with the
-//!   typed [`PgmError`] variants — never UB, never a silent wrong answer;
+//! * corrupted, truncated, or wrong-version files, and files whose table
+//!   spans point outside the table slab, fail loudly with the typed
+//!   [`PgmError`] variants — never UB, never a silent wrong answer;
 //! * the owned (non-mmap) backing behaves identically to the mapping.
 
 use peanut_core::{
@@ -71,8 +72,26 @@ fn select_mat(
     .0
 }
 
+/// Asserts two materializations are bit-identical: shortcut structure,
+/// ratios, benefits, epoch and every table value.
+fn assert_same_materialization(a: &Materialization, b: &Materialization) {
+    assert_eq!(a.epoch, b.epoch);
+    assert_eq!(a.overlapping, b.overlapping);
+    assert_eq!(a.shortcuts.len(), b.shortcuts.len());
+    for (i, (x, y)) in a.shortcuts.iter().zip(&b.shortcuts).enumerate() {
+        assert_eq!(x.shortcut.nodes(), y.shortcut.nodes(), "shortcut {i}");
+        assert_eq!(x.ratio.to_bits(), y.ratio.to_bits(), "shortcut {i}");
+        assert_eq!(x.benefit.to_bits(), y.benefit.to_bits(), "shortcut {i}");
+        let bits = |p: &Option<Potential>| {
+            p.as_ref()
+                .map(|p| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&x.potential), bits(&y.potential), "shortcut {i} table");
+    }
+}
+
 /// Saves `(mat, pack, slab)` and asserts the reopened file reproduces the
-/// artifact and its answers bit for bit. Returns the stored path.
+/// artifact and its answers bit for bit.
 fn assert_round_trip(
     bn: &BayesianNetwork,
     tree: &JunctionTree,
@@ -94,10 +113,7 @@ fn assert_round_trip(
     for (a, b) in stored.arena_slab().iter().zip(slab) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
-    let view = stored.flat_view();
-    assert_eq!(view.len(), flat.len());
     for i in 0..flat.len() {
-        assert_eq!(view.span(i), flat.span(i));
         assert_eq!(stored.ratio(i).to_bits(), mat.shortcuts[i].ratio.to_bits());
         assert_eq!(
             stored.benefit(i).to_bits(),
@@ -117,8 +133,7 @@ fn assert_round_trip(
     // rehydrate and compare answers: bit-identical to the in-RAM engine,
     // within 1e-9 of the VE oracle
     let (rengine, rmat) = rehydrate_engine(tree, &stored).unwrap();
-    assert_eq!(rmat.epoch, mat.epoch);
-    assert_eq!(rmat.len(), mat.len());
+    assert_same_materialization(&rmat, mat);
     let fresh = OnlineEngine::new(engine, mat);
     let rehydrated = OnlineEngine::new(&rengine, &rmat);
     let spec = QuerySpec {
@@ -189,9 +204,13 @@ fn owned_backing_matches_mapping() {
         assert_eq!(a.to_bits(), b.to_bits());
     }
     for i in 0..mapped.n_shortcuts() {
-        assert_eq!(mapped.flat_view().span(i), owned.flat_view().span(i));
         assert_eq!(mapped.shortcut_nodes(i), owned.shortcut_nodes(i));
     }
+    let rooted = engine.rooted();
+    let from_mapped = mapped.rebuild_materialization(&tree, rooted).unwrap();
+    let from_owned = owned.rebuild_materialization(&tree, rooted).unwrap();
+    assert_same_materialization(&from_mapped, &from_owned);
+    assert_same_materialization(&from_owned, &mat);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -217,24 +236,37 @@ fn store_config_tracks_the_latest_epoch() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A saved store file (for corruption tests): its path, raw bytes, the
+/// materialization it holds and the arena slab length.
+struct SavedFile {
+    path: PathBuf,
+    bytes: Vec<u8>,
+    mat: Materialization,
+    arena_len: usize,
+}
+
+/// Selects and saves an epoch of `bn` under `budget` as `dir/name`.
+fn save_file(dir: &Path, name: &str, bn: &BayesianNetwork, budget: u64) -> SavedFile {
+    let tree = build_junction_tree(bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, bn).unwrap();
+    let mat = select_mat(bn, &tree, &engine, budget, 1).with_epoch(2);
+    let slab = engine.numeric_state().unwrap().arena().slab();
+    let path = dir.join(name);
+    save(&path, &mat, &FlatMaterialization::pack(&mat), slab).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    SavedFile {
+        path,
+        bytes,
+        mat,
+        arena_len: slab.len(),
+    }
+}
+
 /// Writes a valid store file for a small fixture and returns its path
 /// together with its raw bytes (for corruption tests).
 fn valid_file(dir: &Path) -> (PathBuf, Vec<u8>) {
-    let bn = fixtures::sprinkler();
-    let tree = build_junction_tree(&bn).unwrap();
-    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
-    let mat = select_mat(&bn, &tree, &engine, 128, 1).with_epoch(2);
-    let flat = FlatMaterialization::pack(&mat);
-    let path = dir.join("valid.pnut");
-    save(
-        &path,
-        &mat,
-        &flat,
-        engine.numeric_state().unwrap().arena().slab(),
-    )
-    .unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    (path, bytes)
+    let saved = save_file(dir, "valid.pnut", &fixtures::sprinkler(), 128);
+    (saved.path, saved.bytes)
 }
 
 #[test]
@@ -296,27 +328,62 @@ fn corrupted_files_fail_loudly() {
     let p = write("oversized.pnut", &bad);
     assert!(matches!(open_err(&p, false), PgmError::CorruptStore { .. }));
 
-    // a corrupt CSR (node_first not monotone) is rejected at open; patch
-    // the first two node_first words and re-checksum so only the CSR check
-    // can object
-    let bn = fixtures::sprinkler();
-    let tree = build_junction_tree(&bn).unwrap();
-    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
-    let mat = select_mat(&bn, &tree, &engine, 128, 1).with_epoch(2);
-    if !mat.shortcuts.is_empty() {
+    // The structural checks below patch words of a valid file holding a
+    // dense table and re-stamp its checksum, so only the check under
+    // test can object.
+    let SavedFile {
+        path: dense_path,
+        bytes,
+        mat,
+        arena_len,
+    } = save_file(&dir, "dense.pnut", &fixtures::asia(), 256);
+    let dense = mat
+        .shortcuts
+        .iter()
+        .position(|s| s.potential.is_some())
+        .expect("the fixture selection materializes a table");
+    let patched = |name: &str, words: &[(usize, u64)]| {
         let mut bad = bytes.clone();
-        let arena_len = engine.numeric_state().unwrap().arena().slab().len();
-        let node_first_at = (10 + arena_len) * 8;
-        bad[node_first_at..node_first_at + 8].copy_from_slice(&u64::MAX.to_ne_bytes());
+        for &(at, w) in words {
+            bad[at * 8..at * 8 + 8].copy_from_slice(&w.to_ne_bytes());
+        }
         let checksum = peanut_store::fnv1a64(&bad[24..]);
         bad[16..24].copy_from_slice(&checksum.to_ne_bytes());
-        let p = write("csr.pnut", &bad);
-        let err = open_err(&p, true);
-        assert!(matches!(err, PgmError::CorruptStore { .. }), "{err}");
+        write(name, &bad)
+    };
+    let n = mat.shortcuts.len();
+    let nodes_len: usize = mat.shortcuts.iter().map(|s| s.shortcut.nodes().len()).sum();
+
+    // a corrupt CSR (node_first not monotone) is rejected at open
+    let node_first_at = 10 + arena_len;
+    let p = patched("csr.pnut", &[(node_first_at, u64::MAX)]);
+    let err = open_err(&p, true);
+    assert!(matches!(err, PgmError::CorruptStore { .. }), "{err}");
+
+    // a dense span reaching past the table slab, and an offset whose
+    // offset + len overflows, are rejected at open with or without
+    // checksum verification
+    let slab_len = FlatMaterialization::pack(&mat).packed_entries();
+    let span_off_at = node_first_at + (n + 1) + nodes_len + 2 * n + dense;
+    let span_len_at = span_off_at + n;
+    for (name, off, len) in [
+        ("past-slab.pnut", 1, slab_len),
+        ("overflow.pnut", u64::MAX - 1, 4),
+    ] {
+        let p = patched(name, &[(span_off_at, off), (span_len_at, len)]);
+        for verify in [true, false] {
+            let err = open_err(&p, verify);
+            assert!(
+                matches!(err, PgmError::CorruptStore { .. }),
+                "{name}: {err}"
+            );
+            assert!(err.to_string().contains("span"), "{name}: {err}");
+        }
     }
 
-    // the intact original still opens fine after all of the above
+    // the intact originals still open fine after all of the above
     assert!(StoredEpoch::open(&path, true).is_ok());
+    assert!(StoredEpoch::open(&dense_path, true).is_ok());
     std::fs::remove_dir_all(&dir).ok();
 }
 
